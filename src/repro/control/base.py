@@ -69,22 +69,8 @@ class ControlInputs:
     ) -> "ControlInputs":
         """Build inputs from ground truth (used by training and plain episodes)."""
         view = world.nearest_obstacle_view()
-        distance, bearing = (None, None)
-        if view is not None:
-            distance, bearing, _ = view
-        pose = world.lane_pose()
-        return cls(
-            speed_mps=world.state.speed_mps,
-            target_speed_mps=target_speed_mps,
-            lateral_offset_m=pose.lateral_offset_m,
-            heading_rad=pose.heading_error_rad,
-            obstacle_distance_m=distance,
-            obstacle_bearing_rad=bearing,
-            obstacle_stale=False,
-            road_half_width_m=world.road.half_width_m,
-            road_curvature_per_m=pose.curvature_per_m,
-            features=features,
-        )
+        distance, bearing = (None, None) if view is None else view[:2]
+        return cls._from_pose(world, target_speed_mps, distance, bearing, False, features)
 
     @classmethod
     def from_detections(
@@ -111,15 +97,26 @@ class ControlInputs:
                 nearest_distance = candidate.distance_m
                 nearest_bearing = candidate.bearing_rad
                 nearest_stale = detection_set.stale
+        return cls._from_pose(
+            world, target_speed_mps, nearest_distance, nearest_bearing,
+            nearest_stale, features,
+        )
+
+    @classmethod
+    def _from_pose(
+        cls, world: World, target_speed_mps: float, distance: float | None,
+        bearing: float | None, stale: bool, features: np.ndarray | None,
+    ) -> "ControlInputs":
+        """Inputs around the world's ego state and lane pose."""
         pose = world.lane_pose()
         return cls(
             speed_mps=world.state.speed_mps,
             target_speed_mps=target_speed_mps,
             lateral_offset_m=pose.lateral_offset_m,
             heading_rad=pose.heading_error_rad,
-            obstacle_distance_m=nearest_distance,
-            obstacle_bearing_rad=nearest_bearing,
-            obstacle_stale=nearest_stale,
+            obstacle_distance_m=distance,
+            obstacle_bearing_rad=bearing,
+            obstacle_stale=stale,
             road_half_width_m=world.road.half_width_m,
             road_curvature_per_m=pose.curvature_per_m,
             features=features,

@@ -139,7 +139,8 @@ class ObstacleAvoidanceController(Controller):
             has_obstacle & (raw_distances < self.brake_range_m) & (ahead_weight > 0.3)
         )
         throttle = np.where(brake_active, throttle - braking * ahead_weight, throttle)
-        return np.clip(steering, -1.0, 1.0), np.clip(throttle, -1.0, 1.0)
+        steering = np.minimum(1.0, np.maximum(-1.0, steering))
+        return steering, np.minimum(1.0, np.maximum(-1.0, throttle))
 
     def act_from_inputs(self, inputs: ControlInputs) -> ControlAction:
         """Scalar facade: a 1-element view of :meth:`act_batch`."""

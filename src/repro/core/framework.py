@@ -344,7 +344,8 @@ class SEOFramework:
             report.min_obstacle_distance_m = min(
                 report.min_obstacle_distance_m, safety_inputs.distance_m
             )
-            if self.barrier.evaluate(safety_inputs) < 0.0:
+            h_value = self.barrier.evaluate(safety_inputs)
+            if h_value < 0.0:
                 report.unsafe_steps += 1
 
             # Control path: pi consumes the aggregated perception outputs.
@@ -353,7 +354,7 @@ class SEOFramework:
             )
             raw_control = controller.act_from_inputs(control_inputs)
             if config.filtered:
-                control, _ = shield.filter_action(safety_inputs, raw_control)
+                control, _ = shield.filter_action(safety_inputs, raw_control, h_value)
             else:
                 control = raw_control
 

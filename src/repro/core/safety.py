@@ -74,21 +74,12 @@ class SafetyInputs:
         centrelines too.
         """
         view = world.nearest_obstacle_view()
-        lateral_offset_m = world.lane_pose().lateral_offset_m
-        if view is None:
-            return cls(
-                distance_m=NO_OBSTACLE_DISTANCE_M,
-                bearing_rad=0.0,
-                speed_mps=world.state.speed_mps,
-                lateral_offset_m=lateral_offset_m,
-                road_half_width_m=world.road.half_width_m,
-            )
-        distance, bearing, _ = view
+        distance, bearing = (NO_OBSTACLE_DISTANCE_M, 0.0) if view is None else view[:2]
         return cls(
             distance_m=distance,
             bearing_rad=bearing,
             speed_mps=world.state.speed_mps,
-            lateral_offset_m=lateral_offset_m,
+            lateral_offset_m=world.lane_pose().lateral_offset_m,
             road_half_width_m=world.road.half_width_m,
         )
 

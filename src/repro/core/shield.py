@@ -199,8 +199,8 @@ class SteeringShield:
             corrective_throttle,
             (1.0 - severity) * throttles + severity * shielded_throttle,
         )
-        blended_steering = np.clip(blended_steering, -1.0, 1.0)
-        blended_throttle = np.clip(blended_throttle, -1.0, 1.0)
+        blended_steering = np.minimum(1.0, np.maximum(-1.0, blended_steering))
+        blended_throttle = np.minimum(1.0, np.maximum(-1.0, blended_throttle))
 
         filtered_steering = np.where(passthrough, steerings, blended_steering)
         filtered_throttle = np.where(passthrough, throttles, blended_throttle)
@@ -210,14 +210,20 @@ class SteeringShield:
         return filtered_steering, filtered_throttle, intervened
 
     def filter_action(
-        self, inputs: SafetyInputs, control: ControlAction
+        self,
+        inputs: SafetyInputs,
+        control: ControlAction,
+        h_value: float | None = None,
     ) -> tuple[ControlAction, ShieldDecision]:
         """Filter a raw control action given the current safety inputs.
 
-        A 1-element view of :meth:`filter_batch`.
+        A 1-element view of :meth:`filter_batch`.  Pass ``h_value`` when
+        the barrier at ``inputs`` is already evaluated (the runtime loop
+        evaluates it once per frame).
         """
         self.evaluations += 1
-        h_value = self.safety_function.evaluate(inputs, control)
+        if h_value is None:
+            h_value = self.safety_function.evaluate(inputs, control)
         state = safety_state(h_value)
 
         steering, throttle, intervened_arr = self.filter_batch(

@@ -52,8 +52,8 @@ def rk4_plant_batch(
 
     Returns the updated ``(xs, ys, headings_rad, speeds_mps)`` arrays.
     """
-    st = np.clip(steerings, -1.0, 1.0)
-    th = np.clip(throttles, -1.0, 1.0)
+    st = np.minimum(1.0, np.maximum(-1.0, steerings))
+    th = np.minimum(1.0, np.maximum(-1.0, throttles))
     steer_rad = st * params.max_steer_rad
     accel = np.where(
         th >= 0.0, th * params.max_accel_mps2, th * params.max_brake_mps2
@@ -98,7 +98,7 @@ def rk4_plant_batch(
     hn = h0 + sixth * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
     vn = v0 + sixth * (accel + 2.0 * accel + 2.0 * accel + accel)
     hn = wrap_angle(hn)
-    vn = np.clip(vn, 0.0, params.max_speed_mps)
+    vn = np.minimum(params.max_speed_mps, np.maximum(0.0, vn))
     vn = np.where(vn == 0.0, 0.0, vn)
     return xn, yn, hn, vn
 
@@ -194,7 +194,9 @@ class KinematicBicycleModel:
         else:
             raise ValueError(f"unknown integration method: {method!r}")
         nxt[2] = wrap_angle(float(nxt[2]))
-        nxt[3] = float(np.clip(nxt[3], 0.0, self.params.max_speed_mps))
+        # Bound first: on a tie np.maximum returns its second operand, so a
+        # -0.0 speed survives exactly as it did under np.clip.
+        nxt[3] = float(np.minimum(self.params.max_speed_mps, np.maximum(0.0, nxt[3])))
         return VehicleState.from_array(nxt)
 
     def rollout(

@@ -104,8 +104,8 @@ class ControlAction:
     def clipped(self) -> "ControlAction":
         """Return a copy with both channels clipped to [-1, 1]."""
         return ControlAction(
-            steering=float(np.clip(self.steering, -1.0, 1.0)),
-            throttle=float(np.clip(self.throttle, -1.0, 1.0)),
+            steering=float(np.minimum(1.0, np.maximum(-1.0, self.steering))),
+            throttle=float(np.minimum(1.0, np.maximum(-1.0, self.throttle))),
         )
 
     def as_array(self) -> np.ndarray:

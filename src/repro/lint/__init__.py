@@ -38,7 +38,8 @@ CHECKERS: tuple[Checker, ...] = (
         codes=parity.CODES,
         description=(
             "scalar decision methods must share an implementation with "
-            "their *_batch kernel (core/, control/, sim/road.py)"
+            "their *_batch kernel (core/, control/, perception/, "
+            "sim/road.py, sim/world.py, sim/observation.py)"
         ),
         file_check=parity.check_parity,
         scope=parity.in_scope,

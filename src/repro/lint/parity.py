@@ -1,8 +1,9 @@
 """REPRO101 — kernel parity: scalar facades must share their batch kernel.
 
 The decision and perception layers (``core/``, ``control/``,
-``perception/``, the world queries in ``sim/world.py`` and the road
-geometry in ``sim/road.py``) are written batch-first: the numerical kernel
+``perception/``, the world queries in ``sim/world.py``, the road
+geometry in ``sim/road.py`` and the range scanner in
+``sim/observation.py``) are written batch-first: the numerical kernel
 is the ``*_batch`` method, and the public scalar method is a 1-element view
 of it.  Two independent implementations of the same computation *will*
 drift — the batch engine's bit-exactness oracle only holds because there
@@ -31,7 +32,7 @@ __all__ = ["CODES", "check_parity", "in_scope"]
 CODES = ("REPRO101",)
 
 _SCOPE_PREFIXES = ("core/", "control/", "perception/")
-_SCOPE_FILES = frozenset({"sim/road.py", "sim/world.py"})
+_SCOPE_FILES = frozenset({"sim/road.py", "sim/world.py", "sim/observation.py"})
 _BATCH_SUFFIX = "_batch"
 
 

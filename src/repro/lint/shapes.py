@@ -57,7 +57,7 @@ __all__ = ["CODES", "check_shapes", "in_scope"]
 CODES = ("REPRO501", "REPRO502", "REPRO503", "REPRO504", "REPRO505")
 
 _SCOPE_PREFIXES = ("control/", "core/", "perception/", "dynamics/")
-_SCOPE_FILES = ("sim/road.py", "sim/world.py", "runtime/batch.py")
+_SCOPE_FILES = ("sim/road.py", "sim/world.py", "sim/observation.py", "runtime/batch.py")
 
 _KERNEL_SUFFIXES = ("_batch", "_kernel")
 

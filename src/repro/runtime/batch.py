@@ -24,14 +24,15 @@ possible:
   (whose numpy ufuncs are size-independent) or replicate the serial
   arithmetic expression by expression (operand order, association, clips
   and ``-0.0`` normalization included).  The perception tail shares its
-  kernels the same way: the nearest-obstacle view, the range-scan
-  detection grouping/noise and the multi-segment Frenet lookups all run
-  through ``World.nearest_obstacle_view_batch``,
-  ``DetectorModel.detect_batch`` and the ``Centerline`` batch kernels that
-  the serial facades are 1-element views of.  The RK4 plant update runs
-  through :func:`repro.dynamics.bicycle.rk4_plant_batch`; both paths take
-  the steering tangent from ``np.tan`` (scalar in the serial step, array
-  here), so even that last transcendental agrees per element.
+  kernels the same way: the nearest-obstacle view, the beam-fan raycast,
+  the range-scan detection grouping/noise and the multi-segment Frenet
+  lookups all run through ``World.nearest_obstacle_view_batch``,
+  ``RangeScanner.scan_batch``, ``DetectorModel.detect_batch`` and the
+  ``Centerline`` batch kernels that the serial facades are 1-element views
+  of.  The RK4 plant update runs through
+  :func:`repro.dynamics.bicycle.rk4_plant_batch`; both paths take the
+  steering tangent from ``np.tan`` (scalar in the serial step, array here),
+  so even that last transcendental agrees per element.
 * **Same RNG streams.** Every stochastic consumer keeps its per-episode
   generator from the serial path (world placement, scheduler/wireless,
   sensor dropout, per-detector noise), and draws from each generator happen
@@ -61,7 +62,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.control.base import ControlInputs
 from repro.control.heuristic import ObstacleAvoidanceController
 from repro.control.pure_pursuit import PurePursuitController
 from repro.core.framework import EpisodeReport, SEOConfig, SEOFramework
@@ -185,7 +185,10 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
     ]
     controller = framework._build_controller()
     heuristic_controller = isinstance(controller, ObstacleAvoidanceController)
-    pursuit_controller = isinstance(controller, PurePursuitController)
+    if not heuristic_controller and not isinstance(controller, PurePursuitController):
+        raise NotImplementedError(
+            "batch engine supports the heuristic and pure-pursuit controllers"
+        )
     # The shield math is stateless (the per-episode counters live in the
     # arrays below), so one instance filters the whole batch.
     shield = SteeringShield(
@@ -212,9 +215,6 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
         raise NotImplementedError(
             "batch engine supports obstacle-only scanners (include_road_edges=False)"
         )
-    rel_angles = scanner.beam_angles()
-    num_beams = int(scanner.num_beams)
-    max_range = scanner.max_range_m
     detectors = framework.detectors
     det_rngs = [
         {name: np.random.default_rng(detector.seed) for name, detector in det_items}
@@ -378,33 +378,10 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
                 v_act, target_act, lat_act, heading_err, curv_act,
                 has_det, det_d, det_bg, det_stale,
             )
-        elif pursuit_controller:
+        else:
             raw_s, raw_t = controller.act_batch(
                 v_act, target_act, lat_act, heading_err, curv_act
             )
-        else:  # pragma: no cover - custom controllers fall back to the facade
-            raw_s = np.empty(m, dtype=float)
-            raw_t = np.empty(m, dtype=float)
-            for j in range(m):
-                action = controller.act_from_inputs(
-                    ControlInputs(
-                        speed_mps=float(v_act[j]),
-                        target_speed_mps=target_speed,
-                        lateral_offset_m=float(lat_act[j]),
-                        heading_rad=float(heading_err[j]),
-                        obstacle_distance_m=(
-                            float(det_d[j]) if has_det[j] else None
-                        ),
-                        obstacle_bearing_rad=(
-                            float(det_bg[j]) if has_det[j] else None
-                        ),
-                        obstacle_stale=bool(det_stale[j]),
-                        road_half_width_m=half_width,
-                        road_curvature_per_m=float(curv_act[j]),
-                    )
-                )
-                raw_s[j] = action.steering
-                raw_t[j] = action.throttle
 
         if use_filter:
             fs, ft, intervened = shield.filter_batch(
@@ -624,30 +601,9 @@ def run_batch(  # repro-lint: ignore[REPRO503] (returns reports, not arrays)
                         scan_rows[i] = len(scan_eps)
                         scan_eps.append(i)
             sel = np.array(scan_eps, dtype=int)
-            px = xs[sel]
-            py = ys[sel]
-            ph = hs[sel]
-            ang = rel_angles[None, :] + ph[:, None]
-            dxs = np.cos(ang)
-            dys = np.sin(ang)
-            best = np.full((len(scan_eps), num_beams), max_range, dtype=float)
-            if K:
-                for k in range(K):
-                    fx = px - obs_x[sel, k]
-                    fy = py - obs_y[sel, k]
-                    rad = obs_r[sel, k]
-                    c = fx * fx + fy * fy - rad * rad
-                    b = 2.0 * (fx[:, None] * dxs + fy[:, None] * dys)
-                    disc = b * b - 4.0 * c[:, None]
-                    valid = disc >= 0.0
-                    sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
-                    t1 = (-b - sqrt_disc) / 2.0
-                    t2 = (-b + sqrt_disc) / 2.0
-                    cand = np.where(
-                        t1 >= 0.0, t1, np.where(t2 >= 0.0, 0.0, np.inf)
-                    )
-                    cand = np.where(valid, cand, np.inf)
-                    best = np.where(cand < best, cand, best)
+            best = scanner.scan_batch(
+                xs[sel], ys[sel], hs[sel], obs_x[sel], obs_y[sel], obs_r[sel]
+            )
         now = perf_counter()
         t_scan_raycast += now - stamp
         stamp = now

@@ -473,8 +473,13 @@ class Road:
 
     def lane_pose(self, state: VehicleState) -> LanePose:
         """Road-relative pose of a vehicle state."""
-        s, d = self.to_frenet(state.x_m, state.y_m)
-        heading_error = wrap_angle(state.heading_rad - self.heading_at(s))
+        s_raw, d = self.centerline.project(state.x_m, state.y_m)
+        return self.lane_pose_from(state.heading_rad, s_raw, d)
+
+    def lane_pose_from(self, heading_rad: float, s_raw: float, d: float) -> LanePose:
+        """Road-relative pose from a precomputed projection ``(s_raw, d)``."""
+        s = min(max(s_raw, 0.0), self.centerline.length_m)
+        heading_error = wrap_angle(heading_rad - self.heading_at(s))
         return LanePose(
             arc_length_m=s,
             lateral_offset_m=d,
@@ -504,17 +509,27 @@ class Road:
 
     def progress(self, state: VehicleState) -> float:
         """Fraction of the route completed by a vehicle state, in [0, 1]."""
-        s, _ = self.to_frenet(state.x_m, state.y_m)
-        return float(min(1.0, max(0.0, s / self.length_m)))
+        return self.progress_from(self.centerline.project(state.x_m, state.y_m)[0])
+
+    def progress_from(self, s_raw: float) -> float:
+        """:meth:`progress` of a projected arc length ``s_raw``."""
+        return float(min(1.0, max(0.0, s_raw / self.length_m)))
 
     def finished(self, state: VehicleState) -> bool:
         """Return True once the vehicle has passed the end of the route."""
-        s_raw, _ = self.centerline.project(state.x_m, state.y_m)
+        return self.finished_from(self.centerline.project(state.x_m, state.y_m)[0])
+
+    def finished_from(self, s_raw: float) -> bool:
+        """:meth:`finished` of a projected arc length ``s_raw``."""
         return s_raw >= self.length_m
 
     def off_road(self, state: VehicleState, vehicle_half_width_m: float = 0.0) -> bool:
         """Return True if the vehicle has left the drivable surface laterally."""
-        _, d = self.to_frenet(state.x_m, state.y_m)
+        _, d = self.centerline.project(state.x_m, state.y_m)
+        return self.off_road_from(d, vehicle_half_width_m)
+
+    def off_road_from(self, d: float, vehicle_half_width_m: float = 0.0) -> bool:
+        """:meth:`off_road` of a projected lateral offset ``d``."""
         return not abs(d) <= self.half_width_m - vehicle_half_width_m + 1e-9
 
     # ------------------------------------------------------------------

@@ -41,6 +41,11 @@ class WorldStatus:
 class World:
     """The simulated driving world.
 
+    :meth:`lane_pose`, :meth:`status` and :meth:`progress` share one
+    memoized road projection per ``state`` object.  :class:`VehicleState` is
+    frozen, so :meth:`step`, :meth:`reset` and a direct ``world.state = ...``
+    all install a new object, which invalidates the memo.
+
     Attributes:
         road: Road geometry.
         obstacles: Obstacles along the route, as seen at the current time
@@ -63,6 +68,9 @@ class World:
         self._has_moving_obstacles = any(
             obstacle.motion is not None for obstacle in self.obstacles
         )
+        self._memo_key: tuple[VehicleState, Road] | None = None
+        self._memo_frenet = (0.0, 0.0)
+        self._memo_pose: LanePose | None = None
 
     @property
     def dynamics(self) -> KinematicBicycleModel:
@@ -105,9 +113,23 @@ class World:
         view = self.nearest_obstacle_view()
         return None if view is None else view[2]
 
+    def _frenet(self) -> tuple[float, float]:
+        """Ego projection ``(s_raw, d)``, memoized per ``(state, road)`` object."""
+        key = self._memo_key
+        if key is None or key[0] is not self.state or key[1] is not self.road:
+            self._memo_key = (self.state, self.road)
+            self._memo_frenet = self.road.centerline.project(
+                self.state.x_m, self.state.y_m
+            )
+            self._memo_pose = None
+        return self._memo_frenet
+
     def lane_pose(self) -> LanePose:
         """Road-relative (Frenet) pose of the ego vehicle."""
-        return self.road.lane_pose(self.state)
+        s_raw, d = self._frenet()
+        if self._memo_pose is None:
+            self._memo_pose = self.road.lane_pose_from(self.state.heading_rad, s_raw, d)
+        return self._memo_pose
 
     @staticmethod
     @kernel_contract(
@@ -191,12 +213,13 @@ class World:
         collided = (
             first_collision(self.state, self.obstacles, vehicle_radius) is not None
         )
-        off_road = self.road.off_road(
-            self.state, vehicle_half_width_m=0.5 * self.vehicle_params.width_m
+        s_raw, d = self._frenet()
+        off_road = self.road.off_road_from(
+            d, vehicle_half_width_m=0.5 * self.vehicle_params.width_m
         )
-        finished = self.road.finished(self.state)
+        finished = self.road.finished_from(s_raw)
         return WorldStatus(collided=collided, off_road=off_road, finished=finished)
 
     def progress(self) -> float:
         """Fraction of the route completed, in [0, 1]."""
-        return self.road.progress(self.state)
+        return self.road.progress_from(self._frenet()[0])

@@ -106,8 +106,8 @@ def test_parity_scope_covers_decision_and_perception_layers_only():
     assert parity.in_scope("sim/world.py")
     assert parity.in_scope("perception/detector.py")
     assert parity.in_scope("perception/detections.py")
+    assert parity.in_scope("sim/observation.py")
     assert not parity.in_scope("sim/obstacles.py")
-    assert not parity.in_scope("sim/observation.py")
     assert not parity.in_scope("runtime/remote.py")
 
 
@@ -165,6 +165,41 @@ def test_parity_mutation_real_obstacle_view_facade():
     )
     assert [v.code for v in violations] == ["REPRO101"]
     assert "nearest_obstacle_view" in violations[0].message
+
+
+def test_parity_mutation_real_scan_reinlined_scalar_loop():
+    """Re-inlining a scalar beam x obstacle loop in ``scan`` must fire."""
+    import ast
+
+    from repro.lint.framework import SourceFile
+
+    path = SRC / "sim" / "observation.py"
+    source = path.read_text()
+    assert run_lint([path], CHECKERS) == []
+    start = source.index("        ranges = self.scan_batch(")
+    stop = source.index(")[0]\n", start) + len(")[0]\n")
+    scalar_loop = (
+        "        ranges = np.full(self.num_beams, self.max_range_m)\n"
+        "        for index, angle in enumerate(self.beam_angles() + state.heading_rad):\n"
+        "            dx, dy = math.cos(angle), math.sin(angle)\n"
+        "            for obstacle in obstacles:\n"
+        "                fx = state.x_m - obstacle.x_m\n"
+        "                fy = state.y_m - obstacle.y_m\n"
+        "                b = 2.0 * (fx * dx + fy * dy)\n"
+        "                c = fx * fx + fy * fy - obstacle.radius_m**2\n"
+        "                disc = b * b - 4.0 * c\n"
+        "                if disc >= 0.0:\n"
+        "                    t = (-b - math.sqrt(disc)) / 2.0\n"
+        "                    if 0.0 <= t < ranges[index]:\n"
+        "                        ranges[index] = t\n"
+    )
+    mutated = source[:start] + scalar_loop + source[stop:]
+    violations = parity.check_parity(
+        SourceFile(path, "sim/observation.py", mutated, ast.parse(mutated))
+    )
+    assert [v.code for v in violations] == ["REPRO101"]
+    assert "RangeScanner.scan does not share" in violations[0].message
+    assert "scan_batch" in violations[0].message
 
 
 def test_parity_mutation_real_detector_facade():

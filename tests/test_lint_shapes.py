@@ -120,6 +120,7 @@ def test_shapes_scope_is_the_kernel_layer():
     assert shapes.in_scope("dynamics/bicycle.py")
     assert shapes.in_scope("sim/road.py")
     assert shapes.in_scope("sim/world.py")
+    assert shapes.in_scope("sim/observation.py")
     assert shapes.in_scope("runtime/batch.py")
     assert not shapes.in_scope("runtime/engine.py")
     assert not shapes.in_scope("sim/scenarios.py")
@@ -150,6 +151,29 @@ def test_mutation_real_world_broadcast_fires_501():
     assert [v.code for v in violations] == ["REPRO501"]
     assert "(N, K) with (N,)" in violations[0].message
     assert "nearest_obstacle_view_batch" in violations[0].message
+
+
+def test_mutation_real_raycast_broadcast_fires_501():
+    """The raycast kernel is in scope: an (R, K)/(R,) clash must surface."""
+    violations = mutate(
+        SRC / "sim" / "observation.py",
+        "sim/observation.py",
+        "fx = xs[:, None] - obs_x",
+        "fx = xs - obs_x",
+    )
+    assert [v.code for v in violations] == ["REPRO501"]
+    assert "scan_batch" in violations[0].message
+
+
+def test_mutation_real_scan_facade_fires_504():
+    violations = mutate(
+        SRC / "sim" / "observation.py",
+        "sim/observation.py",
+        "np.array([state.x_m], dtype=float)",
+        "np.array([state.x_m, 0.0], dtype=float)",
+    )
+    assert [v.code for v in violations] == ["REPRO504"]
+    assert "facade 'scan'" in violations[0].message
 
 
 def test_mutation_real_heuristic_dtype_fires_502():

@@ -43,6 +43,7 @@ from repro.perception.detector import DetectorModel, group_scan_rows
 from repro.platform.compute import ComputeProfile
 from repro.platform.presets import DRIVE_PX2_RESNET152, ZED_CAMERA, ZERO_POWER_SENSOR
 from repro.platform.sensors import SensorPowerSpec
+from repro.sim.observation import RangeScanner
 from repro.sim.obstacles import Obstacle
 from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
 from repro.sim.world import World
@@ -66,6 +67,52 @@ unit_commands = st.floats(-1.0, 1.0, allow_nan=False)
 curvatures = st.floats(-0.1, 0.1, allow_nan=False)
 coordinates = st.floats(-50.0, 50.0, allow_nan=False)
 scan_ranges = st.floats(0.0, 45.0, allow_nan=False)
+
+
+
+def _ray_circle_distance(origin, direction, centre, radius):
+    """Distance along a ray to a circle, or None if the ray misses it.
+
+    The scalar ray-circle intersection the range scanner used before its
+    raycast became one broadcast kernel; kept here as the reference.
+    """
+    ox, oy = origin
+    dx, dy = direction
+    cx, cy = centre
+    fx, fy = ox - cx, oy - cy
+    b = 2.0 * (fx * dx + fy * dy)
+    c = fx * fx + fy * fy - radius * radius
+    discriminant = b * b - 4.0 * c
+    if discriminant < 0.0:
+        return None
+    sqrt_disc = math.sqrt(discriminant)
+    t1 = (-b - sqrt_disc) / 2.0
+    t2 = (-b + sqrt_disc) / 2.0
+    if t1 >= 0.0:
+        return t1
+    if t2 >= 0.0:
+        return 0.0
+    return None
+
+
+def _reference_scan(scanner, x, y, heading, obstacles):
+    """The scalar beam x obstacle loop (obstacles only), as reference.
+
+    Beam directions come from the same ``np.cos``/``np.sin`` values the
+    kernel uses, so the comparison isolates the ray-circle arithmetic and
+    the nearest-hit reduction from the platform's libm.
+    """
+    angles = scanner.beam_angles() + heading
+    ranges = []
+    for dx, dy in zip(np.cos(angles).tolist(), np.sin(angles).tolist(), strict=True):
+        best = scanner.max_range_m
+        for ox, oy, radius in obstacles:
+            hit = _ray_circle_distance((x, y), (dx, dy), (ox, oy), radius)
+            if hit is not None and hit < best:
+                best = hit
+        ranges.append(best)
+    return ranges
+
 
 # A chain exercising every joint kind: straight->arc, arc->straight and a
 # sign flip between the arcs, for the projection round-trip tests.
@@ -582,6 +629,93 @@ class TestKernelFacadeParity:
         world = World(road=Road(), obstacles=[])
         assert world.nearest_obstacle_view() is None
         assert world.nearest_obstacle() is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        poses=st.lists(
+            st.tuples(coordinates, coordinates, bearings), min_size=1, max_size=4
+        ),
+        obstacle_specs=st.lists(
+            st.tuples(coordinates, coordinates, st.floats(0.1, 5.0, allow_nan=False)),
+            min_size=0,
+            max_size=6,
+        ),
+        num_beams=st.integers(2, 40),
+        fov=st.floats(0.1, 2.0 * math.pi, allow_nan=False),
+        max_range=st.floats(1.0, 60.0, allow_nan=False),
+    )
+    def test_raycast_kernel_matches_scalar_beam_loop(
+        self, poses, obstacle_specs, num_beams, fov, max_range
+    ):
+        scanner = RangeScanner(
+            num_beams=num_beams, fov_rad=fov, max_range_m=max_range,
+            include_road_edges=False,
+        )
+        xs, ys, hs = (np.array(column, dtype=float) for column in zip(*poses, strict=True))
+        n, k = len(poses), len(obstacle_specs)
+        columns = np.array(obstacle_specs, dtype=float).reshape(k, 3).T
+        obs_x, obs_y, obs_r = (np.tile(column, (n, 1)) for column in columns)
+        rows = scanner.scan_batch(xs, ys, hs, obs_x, obs_y, obs_r)
+        assert rows.shape == (n, num_beams)
+        obstacles = [Obstacle(x_m=ox, y_m=oy, radius_m=r) for ox, oy, r in obstacle_specs]
+        for j, (x, y, h) in enumerate(poses):
+            assert rows[j].tolist() == _reference_scan(scanner, x, y, h, obstacle_specs)
+            # ``scan`` is the kernel's 1-row view.
+            world = World(
+                road=Road(), obstacles=obstacles,
+                state=VehicleState(x_m=x, y_m=y, heading_rad=h),
+            )
+            assert scanner.scan(world).tolist() == rows[j].tolist()
+
+    def test_raycast_kernel_edge_cases(self):
+        scanner = RangeScanner(
+            num_beams=5, fov_rad=math.radians(90.0), max_range_m=30.0,
+            include_road_edges=False,
+        )
+        assert scanner.beam_angles()[2] == 0.0
+        origin = np.zeros(1, dtype=float)
+
+        def kernel_row(specs):
+            columns = np.array(specs, dtype=float).reshape(len(specs), 3).T
+            obs_x, obs_y, obs_r = (column[None, :] for column in columns)
+            row = scanner.scan_batch(origin, origin, origin, obs_x, obs_y, obs_r)[0]
+            assert row.tolist() == _reference_scan(scanner, 0.0, 0.0, 0.0, specs)
+            return row
+
+        # K = 0: every beam reports the maximum range.
+        assert kernel_row([]).tolist() == [30.0] * 5
+        # Origin inside a circle: every beam hits it at distance 0.
+        assert kernel_row([(1.0, 0.5, 2.0)]).tolist() == [0.0] * 5
+        # Tangent ray: the centre beam grazes the circle at (10, 0).
+        tangent = kernel_row([(10.0, 1.0, 1.0)])
+        assert tangent[2] == 10.0
+        # Obstacles behind the vehicle are never hit, even the nearest one.
+        assert kernel_row([(-3.0, 0.0, 1.0), (-10.0, 2.0, 3.0)]).tolist() == [30.0] * 5
+        # The nearest circle wins per beam, whatever the obstacle order.
+        near_far = kernel_row([(20.0, 0.0, 1.0), (8.0, 0.0, 1.0)])
+        assert near_far[2] == 7.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        bounds=st.sampled_from([(-1.0, 1.0), (0.0, 30.0)]),
+    )
+    def test_bound_first_min_max_keeps_clip_bits(self, values, bounds):
+        """The kernels' ``np.minimum(hi, np.maximum(lo, x))`` saturation
+        reproduces ``np.clip`` bit for bit, NaN and signed zeros included."""
+        lo, hi = bounds
+        x = np.array(values, dtype=float)
+        clipped = np.clip(x, lo, hi)
+        saturated = np.minimum(hi, np.maximum(lo, x))
+        assert np.array_equal(clipped, saturated, equal_nan=True)
+        assert np.array_equal(np.signbit(clipped), np.signbit(saturated))
 
     @staticmethod
     def _serial_groups(row, threshold):

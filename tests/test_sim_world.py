@@ -1,14 +1,17 @@
 """Tests for the driving-world substrate (road, obstacles, world, scenario)."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.core.framework import SEOFramework
+from repro.core.safety import BrakingDistanceBarrier
 from repro.dynamics.state import ControlAction, VehicleState
 from repro.sim.collision import circle_hit, first_collision
 from repro.sim.obstacles import Obstacle, place_obstacles
-from repro.sim.road import Road
+from repro.sim.road import ArcSegment, Centerline, Road, StraightSegment
 from repro.sim.scenario import ScenarioConfig, build_world
 from repro.sim.world import World
 
@@ -166,6 +169,93 @@ class TestWorld:
     def test_status_detects_off_road(self, empty_world):
         empty_world.state = VehicleState(x_m=10.0, y_m=empty_world.road.half_width_m + 1.0)
         assert empty_world.status().off_road
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call bumps the returned counter."""
+    original = getattr(owner, name)
+    counter = {"calls": 0}
+
+    def counting(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return counter
+
+
+class TestFrenetMemo:
+    """The ego projection is computed once per installed state object."""
+
+    @pytest.fixture
+    def curved_world(self):
+        road = Road(segments=(StraightSegment(20.0), ArcSegment(30.0, math.radians(60.0))))
+        return World(road=road, state=VehicleState(x_m=5.0, y_m=0.5, speed_mps=5.0))
+
+    def test_queries_of_one_state_share_one_projection(self, curved_world, monkeypatch):
+        projections = _count_calls(monkeypatch, Centerline, "project_batch")
+        headings = _count_calls(monkeypatch, Centerline, "heading_at_batch")
+        pose = curved_world.lane_pose()
+        assert curved_world.lane_pose() is pose
+        curved_world.status()
+        curved_world.progress()
+        assert projections["calls"] == 1
+        assert headings["calls"] == 1
+        # Same answers as the unmemoized road queries.
+        road, state = curved_world.road, curved_world.state
+        assert pose == road.lane_pose(state)
+        assert curved_world.progress() == road.progress(state)
+        status = curved_world.status()
+        assert status.finished == road.finished(state)
+        assert status.off_road == road.off_road(
+            state, vehicle_half_width_m=0.5 * curved_world.vehicle_params.width_m
+        )
+
+    def test_step_invalidates(self, curved_world):
+        before = curved_world.lane_pose()
+        curved_world.step(ControlAction(steering=0.5, throttle=1.0), 0.1)
+        after = curved_world.lane_pose()
+        assert after != before
+        assert after == curved_world.road.lane_pose(curved_world.state)
+
+    def test_reset_invalidates(self, curved_world):
+        initial = curved_world.lane_pose()
+        curved_world.step(ControlAction(throttle=1.0), 0.5)
+        assert curved_world.lane_pose() != initial
+        curved_world.reset()
+        assert curved_world.lane_pose() == initial
+        moved = VehicleState(x_m=12.0, y_m=-1.0)
+        curved_world.reset(moved)
+        assert curved_world.lane_pose() == curved_world.road.lane_pose(moved)
+
+    def test_direct_state_assignment_invalidates(self, curved_world):
+        curved_world.lane_pose()
+        assert not curved_world.status().off_road
+        curved_world.state = VehicleState(x_m=10.0, y_m=curved_world.road.half_width_m + 1.0)
+        assert curved_world.status().off_road
+        assert curved_world.lane_pose().lateral_offset_m == pytest.approx(
+            curved_world.road.half_width_m + 1.0
+        )
+        # An equal but distinct state object is a new key, not a stale hit.
+        curved_world.state = dataclasses.replace(curved_world.state)
+        assert curved_world.lane_pose() == curved_world.road.lane_pose(curved_world.state)
+
+    def test_road_swap_invalidates(self, curved_world):
+        curved_world.lane_pose()
+        curved_world.road = Road(length_m=4.0)
+        assert curved_world.status().finished
+
+    def test_serial_episode_projects_once_per_frame(self, fast_seo_config, monkeypatch):
+        """T frames cost at most T + 1 projections (the initial state plus one
+        per stepped state) and exactly T barrier evaluations."""
+        framework = SEOFramework(dataclasses.replace(fast_seo_config, max_steps=120))
+        projections = _count_calls(monkeypatch, Centerline, "project_batch")
+        barriers = _count_calls(monkeypatch, BrakingDistanceBarrier, "evaluate_batch")
+        report = framework.run_episode(0)
+        frames = report.steps
+        assert frames > 0
+        assert projections["calls"] <= frames + 1
+        assert barriers["calls"] == frames
 
 
 class TestScenario:
